@@ -20,7 +20,9 @@
 //  3. minLBAbs — the smallest maxLB among non-valid anchors — certifies the
 //     extracted top-k pairs; anchors that could still hide better matches
 //     (maxLB below the current k-th best distance) get their distance
-//     profile recomputed with MASS and their partial profile reseeded.
+//     profile recomputed — FFT-seeded STOMP chains bridging the rows
+//     between nearby anchors (length.go) — and their partial profile
+//     reseeded.
 //     When too many anchors need recomputing, fall back to one full
 //     STOMP pass at that length and reseed everything.
 //
@@ -47,10 +49,16 @@ import (
 const (
 	DefaultTopK = 10
 	DefaultP    = 10
-	// DefaultRecomputeFraction: one MASS recompute costs Θ(n log n), a full
-	// STOMP pass Θ(s²) — but the full pass also reseeds every partial
-	// profile with tight bounds at the current length, so the breakeven
-	// sits near s/log n ≈ 5% of anchors, not 25%.
+	// DefaultRecomputeFraction: a full pass costs s rows, each one
+	// RowNext step plus the scan and reseed (≈6 µs + 35–50 µs at n=20k on
+	// a 2-vCPU AVX2 Xeon), and reseeds every partial profile with tight
+	// bounds at the current length. Anchor by anchor, a recompute chain
+	// head costs half a DotsPair, Θ(n log n) (≈1.4 ms), plus its scan; an
+	// anchor inside a bridged chain costs its scan plus at most
+	// bridgeMaxGap RowNext rows. With every recomputed anchor a chain head
+	// the breakeven is 3–4% of anchors, and bridged chains push it higher,
+	// so 5% sits between the two regimes; the full pass's tighter reseed,
+	// which helps the lengths after it, is not in this per-length count.
 	DefaultRecomputeFraction = 0.05
 )
 
@@ -71,7 +79,7 @@ type Config struct {
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
 	// RecomputeFraction is the fraction of anchors above which a full
-	// per-length STOMP recompute replaces individual MASS recomputes
+	// per-length STOMP recompute replaces individual anchor recomputes
 	// (default 0.05; see DefaultRecomputeFraction for the cost model).
 	RecomputeFraction float64
 	// DisablePruning forces a whole-profile pass at every length — the

@@ -132,6 +132,7 @@ type run struct {
 	means, stds, invStds []float64
 	degCount             int
 	rowQT                []float64 // scratch dot-product row for run scans
+	rowQT2               []float64 // second serial recompute row (paired chain heads), taken on first use
 
 	// Steady-state per-length scratch, allocated (or pooled) once per run
 	// and recycled across lengths so the pruned per-length pass performs
@@ -140,9 +141,8 @@ type run struct {
 	lmp     profile.MatrixProfile // candidate profile of the pruned pass
 	topk    profile.TopKScratch   // TopKPairsInto working memory
 	need    []int                 // per-round recompute set
-	runs    []recSpan             // contiguous recompute runs of a batch
-	hotPend []int                 // isolated hard anchors of a batch
-	hotRows [][]float64           // per-batch recomputed rows awaiting retention
+	segs    []recSeg              // recompute chains of a batch
+	hotRows [][]float64           // per need-list anchor: pooled row awaiting hot retention, or nil
 	degs    []int                 // degenerate offsets of fixupDegenerate
 	shards  []anchors.Shard       // advance-pass shard grid
 }
@@ -281,6 +281,9 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 	r.rowQT = e.getRow(sMin)
 	defer func() {
 		e.putRow(r.rowQT)
+		if r.rowQT2 != nil {
+			e.putRow(r.rowQT2)
+		}
 		r.store.DrainHotRows(e.putRow)
 	}()
 

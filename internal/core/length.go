@@ -135,74 +135,90 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 	}
 }
 
-// recomputeBatch resolves the anchors in need (ascending) exactly at
-// length l. Neighboring anchors fail certification together (their windows
-// overlap), so contiguous runs are recomputed with one FFT + O(s) row
-// recurrences and reseeded; isolated hard anchors are resolved two per FFT
-// round trip via the packed correlator and their rows join the hot-row
-// cache (one FFT now, O(s) per length afterwards). The jobs — one per run,
-// one per anchor pair — are fixed by the need list alone and touch
-// disjoint anchors, so they are distributed across Workers goroutines with
-// bit-identical results; only the hot-cache retention stays serial, in
-// need order, so the cache contents are deterministic too.
-// recSpan is one contiguous recompute run [lo, lo+count).
-type recSpan struct{ lo, count int }
+// bridgeMaxGap is the widest gap, in rows, a recompute chain bridges with
+// the STOMP recurrence rather than closing and starting a new chain. A
+// bridged gap of g rows costs g kernels.RowNext rows over s cells; a new
+// chain head costs half a DotsPair at the padded FFT size. Both grow about
+// linearly with n, so the breakeven hardly depends on it: on a 2-vCPU
+// AVX2 Xeon at n=20k (32k-point FFT) one RowNext row costs ≈5.9 µs and
+// half a DotsPair ≈1.4 ms, a breakeven near 240 rows. Padding to a power
+// of two moves the transform's share by up to 2× between sizes, so the
+// constant sits at half the measured breakeven, where bridging wins at
+// every padding.
+const bridgeMaxGap = 128
 
+// hotRunMin is the contiguous-run length from which recomputed anchors
+// stop joining the hot-row cache: neighbors that fail certification
+// together are cheap to recompute together again, isolated hard anchors
+// are what the cache is for.
+const hotRunMin = 8
+
+// recSeg is one recompute chain: the need-list positions [lo, hi).
+type recSeg struct{ lo, hi int }
+
+// recomputeBatch resolves the anchors in need (ascending) exactly at
+// length l. The need list is cut into chains: a chain keeps extending
+// while the next needed anchor is at most bridgeMaxGap rows away and the
+// chain spans fewer than seedBlockRows rows (the seed grid's bound on how
+// far the recurrence runs from one transform). Chain heads are
+// transformed two per DotsPair round trip; each chain then walks forward
+// with the O(s) STOMP recurrence (kernels.RowNext), bridging the rows
+// between its needed anchors, and scans and reseeds every needed anchor
+// on the way. Anchors outside contiguous runs of hotRunMin or more have
+// their row copied into a pooled row for the hot-row cache (one transform
+// or walk now, O(s) per length afterwards). The chains and their head
+// pairing are fixed by the need list alone and touch disjoint anchors, so
+// chain pairs are distributed across Workers goroutines with
+// bit-identical results; only the hot-cache retention stays serial, in
+// need order, so the cache contents are deterministic too. The batch's
+// scratch (chains, hot rows) is run-owned: a warm batch allocates nothing.
 func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProfile) {
-	const runReseedMin = 8
-	runs := r.runs[:0]
-	hotPend := r.hotPend[:0]
-	for start := 0; start < len(need); {
-		end := start + 1
+	if cap(r.hotRows) < len(need) {
+		r.hotRows = make([][]float64, len(need))
+	}
+	hot := r.hotRows[:len(need)]
+	// Hot-row eligibility, decided serially in need order exactly as the
+	// retention below will: rows are only taken for anchors the store
+	// will accept, so once the cache is full a batch holds no extra rows
+	// and retention never hands one straight back.
+	room := r.store.Budget() - r.store.HotCount()
+	for x := 0; x < len(need); {
+		end := x + 1
 		for end < len(need) && need[end] == need[end-1]+1 {
 			end++
 		}
-		if end-start >= runReseedMin {
-			runs = append(runs, recSpan{need[start], end - start})
-		} else {
-			hotPend = append(hotPend, need[start:end]...)
-		}
-		for _, i := range need[start:end] {
+		for y := x; y < end; y++ {
+			i := need[y]
 			r.cert[i] = true // exact now at this length
+			if _, _, isHot := r.store.HotRow(i); end-x < hotRunMin && room > 0 && !isHot {
+				hot[y] = r.eng.getRow(s)
+				room--
+			}
 		}
-		start = end
+		x = end
 	}
-
-	r.runs, r.hotPend = runs, hotPend
-
-	nJobs := len(runs) + (len(hotPend)+1)/2
-	if cap(r.hotRows) < len(hotPend) {
-		r.hotRows = make([][]float64, len(hotPend))
-	}
-	hotRows := r.hotRows[:len(hotPend)]
-	runJob := func(k int, corr *fft.Correlator, rowBuf []float64) {
-		if k < len(runs) {
-			r.processRunWith(runs[k].lo, runs[k].count, l, excl, s, lmp, corr, rowBuf)
-			return
+	segs := r.segs[:0]
+	for lo := 0; lo < len(need); {
+		hi := lo + 1
+		for hi < len(need) && need[hi]-need[hi-1] <= bridgeMaxGap && need[hi]-need[lo] < seedBlockRows {
+			hi++
 		}
-		x := (k - len(runs)) * 2
-		if x+1 < len(hotPend) {
-			i1, i2 := hotPend[x], hotPend[x+1]
-			row1, row2 := corr.DotsPair(r.t[i1:i1+l], r.t[i2:i2+l],
-				r.eng.getRow(s), r.eng.getRow(s))
-			r.scanRow(i1, l, excl, s, row1, lmp)
-			r.scanRow(i2, l, excl, s, row2, lmp)
-			hotRows[x], hotRows[x+1] = row1, row2
-		} else {
-			i := hotPend[x]
-			row := corr.Dots(r.t[i:i+l], r.eng.getRow(s))
-			r.scanRow(i, l, excl, s, row, lmp)
-			hotRows[x] = row
-		}
+		segs = append(segs, recSeg{lo, hi})
+		lo = hi
 	}
+	r.segs = segs
 
+	nJobs := (len(segs) + 1) / 2
 	workers := r.workers
 	if workers > nJobs {
 		workers = nJobs
 	}
 	if workers <= 1 {
+		if r.rowQT2 == nil {
+			r.rowQT2 = r.eng.getRow(r.sMin)
+		}
 		for k := 0; k < nJobs; k++ {
-			runJob(k, r.corr, r.rowQT[:s])
+			r.recomputeJob(k, need, hot, l, excl, s, lmp, r.corr, r.rowQT[:s], r.rowQT2[:s])
 		}
 	} else {
 		var next atomic.Int64
@@ -213,30 +229,56 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 				defer wg.Done()
 				corr := r.corr.Clone()
 				defer corr.Release()
-				rowBuf := r.eng.getRow(s)
-				defer r.eng.putRow(rowBuf)
+				buf1, buf2 := r.eng.getRow(s), r.eng.getRow(s)
+				defer r.eng.putRow(buf1)
+				defer r.eng.putRow(buf2)
 				for {
 					k := int(next.Add(1)) - 1
 					if k >= nJobs {
 						return
 					}
-					runJob(k, corr, rowBuf)
+					r.recomputeJob(k, need, hot, l, excl, s, lmp, corr, buf1, buf2)
 				}
 			}()
 		}
 		wg.Wait()
 	}
 
-	// Hot-cache retention: serial, in need order. Every recomputed row is
-	// either retained by the store (and returned to the pool when the run
-	// drains the hot cache) or returned here — no third path, so the
-	// engine's get/put balance stays exact.
-	for x, i := range hotPend {
-		if !r.store.MakeHot(i, hotRows[x], l) {
-			r.eng.putRow(hotRows[x])
+	// Hot-cache retention: serial, in need order. The store accepts every
+	// row reserved above (and returns it to the pool when the run drains
+	// the hot cache); a refused row would go straight back, so the
+	// engine's get/put balance stays exact either way.
+	for x, i := range need {
+		if hot[x] == nil {
+			continue
 		}
-		hotRows[x] = nil // no stale row outlives the batch
+		if !r.store.MakeHot(i, hot[x], l) {
+			r.eng.putRow(hot[x])
+		}
+		hot[x] = nil // no stale row outlives the batch
 	}
+}
+
+// recomputeJob is job k of a recompute batch: chains 2k and 2k+1 of r.segs
+// walked from one paired transform of their heads (the last chain of an
+// odd count takes a transform of its own).
+func (r *run) recomputeJob(k int, need []int, hot [][]float64, l, excl, s int, lmp *profile.MatrixProfile, corr *fft.Correlator, buf1, buf2 []float64) {
+	a := r.segs[2*k]
+	h1 := need[a.lo]
+	if 2*k+1 == len(r.segs) {
+		r.walkChain(corr.Dots(r.t[h1:h1+l], buf1), a, need, hot, l, excl, s, lmp)
+		return
+	}
+	b := r.segs[2*k+1]
+	h2 := need[b.lo]
+	row1, row2 := corr.DotsPair(r.t[h1:h1+l], r.t[h2:h2+l], buf1, buf2)
+	r.walkChain(row1, a, need, hot, l, excl, s, lmp)
+	r.walkChain(row2, b, need, hot, l, excl, s, lmp)
+}
+
+// walkChain walks chain c of the batch from its head row.
+func (r *run) walkChain(row []float64, c recSeg, need []int, hot [][]float64, l, excl, s int, lmp *profile.MatrixProfile) {
+	r.walkRows(row, need[c.lo], need[c.hi-1]+1, need[c.lo:c.hi], hot[c.lo:c.hi], l, excl, s, lmp)
 }
 
 // advanceAll runs the advance→certify pass over every anchor, partitioned

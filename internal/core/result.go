@@ -13,7 +13,8 @@ type LengthStats struct {
 	// Certified counts anchors whose profile value was certified by the
 	// lower bound alone.
 	Certified int
-	// Recomputed counts anchors individually recomputed with MASS.
+	// Recomputed counts anchors individually recomputed (their exact row
+	// from a recompute chain, see recomputeBatch).
 	Recomputed int
 	// FullRecompute reports the length was resolved by a whole-profile
 	// pass rather than the pruned advance→certify machinery.
@@ -153,7 +154,7 @@ type Summary struct {
 	Lengths int
 	// CertifiedAnchors sums anchors certified by the lower bound alone.
 	CertifiedAnchors int
-	// RecomputedAnchors sums anchors individually recomputed with MASS.
+	// RecomputedAnchors sums anchors individually recomputed.
 	RecomputedAnchors int
 	// FullRecomputes counts lengths resolved by a whole STOMP pass
 	// (including the mandatory one at ℓmin).

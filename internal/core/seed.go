@@ -108,21 +108,44 @@ func blockBounds(b, s int) (lo, hi int) {
 }
 
 // processRunWith resolves the contiguous anchors [i0, i0+count) exactly at
-// length l: one FFT seeds the dot-product row of i0, each following row
-// costs O(s) via the STOMP recurrence (kernels.RowNext), and per row the
-// kernel scans find the exact profile minimum (division-free correlation
-// compare) and reseed the anchor's partial profile. It writes exact values
-// into mp. The correlator and row buffer are caller-owned, enabling
+// length l: one FFT seeds the dot-product row of i0, and walkRows streams
+// the block as a chain in which every anchor is needed. It writes exact
+// values into mp. The correlator and row buffer are caller-owned, enabling
 // concurrent block scans; the moment cache must already be at l.
 func (r *run) processRunWith(i0, count, l, excl, s int, mp *profile.MatrixProfile, corr *fft.Correlator, rowBuf []float64) {
+	row := corr.Dots(r.t[i0:i0+l], rowBuf)
+	r.walkRows(row, i0, i0+count, nil, nil, l, excl, s, mp)
+}
+
+// walkRows streams dot-product rows from anchor lo, whose row the caller
+// has filled, through anchor hi−1: each following row costs O(s) via the
+// STOMP recurrence (kernels.RowNext) plus the O(l) row[0] dot product.
+// need selects the rows scanned (scanRow: exact profile minimum and
+// partial-profile reseed): nil scans every row, as a seed block does;
+// otherwise only need's anchors (ascending, need[0] = lo, all below hi)
+// are scanned, the rows between them are bridged, and a scanned anchor
+// need[x] whose hot[x] is non-nil has its row copied there for the
+// hot-row cache.
+func (r *run) walkRows(row []float64, lo, hi int, need []int, hot [][]float64, l, excl, s int, mp *profile.MatrixProfile) {
 	t := r.t
-	row := corr.Dots(t[i0:i0+l], rowBuf)
-	for i := i0; i < i0+count; i++ {
-		if i > i0 {
+	x := 0
+	for i := lo; i < hi; i++ {
+		if i > lo {
 			kernels.RowNext(row, t, i, l, s)
 			row[0] = series.Dot(t[i:i+l], t[0:l])
 		}
+		if need == nil {
+			r.scanRow(i, l, excl, s, row, mp)
+			continue
+		}
+		if need[x] != i {
+			continue // bridged row
+		}
 		r.scanRow(i, l, excl, s, row, mp)
+		if hot[x] != nil {
+			copy(hot[x], row)
+		}
+		x++
 	}
 }
 
@@ -201,9 +224,11 @@ type reseedState struct {
 // reseedRange runs the top-p-by-q̃² selection of the partial-profile
 // reseed over the included candidate range [j0, j1) — the same selection
 // the pre-kernel fused loop performed, minus the per-cell exclusion test.
-// The fill phase (heap not yet full) is peeled off the front so the
-// steady-state loop is just compute-q̃²-and-compare with hoisted slice
-// bounds; candidates are visited in the identical ascending order.
+// The fill phase (heap not yet full) is peeled off the front; after it,
+// kernels.ReseedScan sweeps to the next cell that beats the heap root
+// (folding every cell it passes into the best rejected q̃²), and only
+// those hits — rare once the heap is warm — run the scalar heap update.
+// Candidates are visited in the identical ascending order.
 func (r *run) reseedRange(a *anchors.State, row []float64, j0, j1, p int, sumA float64, st *reseedState) {
 	if j1 <= j0 {
 		return
@@ -224,27 +249,21 @@ func (r *run) reseedRange(a *anchors.State, row []float64, j0, j1, p int, sumA f
 		q0 := a.Entries[0].QTilde
 		st.heapMinQ2 = q0 * q0
 	}
-	rr := row[j:j1]
-	mm := means[j:j1]
-	mm = mm[:len(rr)]
-	vv := invs[j:j1]
-	vv = vv[:len(rr)]
 	heapMin, bestRej := st.heapMinQ2, st.bestRejQ2
-	for x := 0; x < len(rr); x++ {
-		qtj := rr[x]
-		q := (qtj - mm[x]*sumA) * vv[x]
-		q2 := q * q
-		if q2 > heapMin {
-			if heapMin > bestRej {
-				bestRej = heapMin // evicted root joins the unkept set
-			}
-			a.Entries[0] = lb.Entry{J: int32(j + x), QT: qtj, QTilde: q}
-			lb.SiftDown(a.Entries, 0)
-			q0 := a.Entries[0].QTilde
-			heapMin = q0 * q0
-		} else if q2 > bestRej {
-			bestRej = q2
+	for {
+		j, bestRej = kernels.ReseedScan(row[:j1], means, invs, j, sumA, heapMin, bestRej)
+		if j >= j1 {
+			break
 		}
+		if heapMin > bestRej {
+			bestRej = heapMin // evicted root joins the unkept set
+		}
+		qtj := row[j]
+		a.Entries[0] = lb.Entry{J: int32(j), QT: qtj, QTilde: (qtj - means[j]*sumA) * invs[j]}
+		lb.SiftDown(a.Entries, 0)
+		q0 := a.Entries[0].QTilde
+		heapMin = q0 * q0
+		j++
 	}
 	st.heapMinQ2, st.bestRejQ2 = heapMin, bestRej
 }

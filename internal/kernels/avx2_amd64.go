@@ -64,6 +64,14 @@ func diagSteps4(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, invFl float64
 //go:noescape
 func diagSteps32x(qt *float64, w, u, ta, tb *float32, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) int
 
+// reseedScanBlocks scans groups of four cells x ∈ [0, n), n a multiple of
+// 4: q = (r[x] − m[x]·sumA)·v[x], and returns the start of the first group
+// holding a lane with q² > heapMin (n if none) together with the maximum
+// of bestRej and every q² of the groups before it.
+//
+//go:noescape
+func reseedScanBlocks(r, m, v *float64, sumA, heapMin, bestRej float64, n int) (int, float64)
+
 func rowNextAVX2(row, t []float64, i, l, s int) {
 	if s < 2 {
 		return
@@ -413,4 +421,35 @@ func diagQuad32AVX2(t, head []float32, means, invs []float64, k, l, s int, invFl
 	diagOneTail32(t, means, invs, qt[1], k+1, l, s, invFl, corr, idx, m)
 	diagOneTail32(t, means, invs, qt[2], k+2, l, s, invFl, corr, idx, m)
 	diagOneTail32(t, means, invs, qt[3], k+3, l, s, invFl, corr, idx, m)
+}
+
+// reseedScanAVX2 runs the four-lane threshold scan up to the first group
+// holding a hit, then finishes that group (or the sub-vector remainder)
+// with the scalar expression: the stop cell is the first hit in ascending
+// order, and the group maxima fold exactly into bestRej.
+func reseedScanAVX2(row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) (int, float64) {
+	n := len(row)
+	if j0 >= n {
+		return n, bestRej
+	}
+	r := row[j0:n]
+	m := means[j0:n]
+	m = m[:len(r)]
+	v := invs[j0:n]
+	v = v[:len(r)]
+	x := 0
+	if nv := len(r) &^ 3; nv > 0 {
+		x, bestRej = reseedScanBlocks(&r[0], &m[0], &v[0], sumA, heapMin, bestRej, nv)
+	}
+	for ; x < len(r); x++ {
+		q := (r[x] - m[x]*sumA) * v[x]
+		q2 := q * q
+		if q2 > heapMin {
+			return j0 + x, bestRej
+		}
+		if q2 > bestRej {
+			bestRej = q2
+		}
+	}
+	return n, bestRej
 }

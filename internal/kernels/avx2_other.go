@@ -28,3 +28,7 @@ func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float
 func diagScan32AVX2(t, head []float32, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	diagScan32ILP(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
+
+func reseedScanAVX2(row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) (int, float64) {
+	return reseedScanGeneric(row, means, invs, j0, sumA, heapMin, bestRej)
+}

@@ -391,3 +391,30 @@ func diagOneTail(t, means, invs []float64, qt float64, k, l, s int, invFl float6
 		}
 	}
 }
+
+// reseedScanGeneric is ReseedScan as the scalar loop the reseed ran
+// before the kernel existed, with hoisted slice bounds. A blocked Go
+// variant measured slower (the common path is one compare per cell
+// already), so the ILP tier shares this body too.
+func reseedScanGeneric(row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) (int, float64) {
+	n := len(row)
+	if j0 >= n {
+		return n, bestRej
+	}
+	rr := row[j0:n]
+	mm := means[j0:n]
+	mm = mm[:len(rr)]
+	vv := invs[j0:n]
+	vv = vv[:len(rr)]
+	for x := 0; x < len(rr); x++ {
+		q := (rr[x] - mm[x]*sumA) * vv[x]
+		q2 := q * q
+		if q2 > heapMin {
+			return j0 + x, bestRej
+		}
+		if q2 > bestRej {
+			bestRej = q2
+		}
+	}
+	return n, bestRej
+}

@@ -1,9 +1,10 @@
 // Package kernels holds the engine's arithmetic hot loops — the STOMP row
 // recurrence, the branch-free argmax-correlation scans, the fused
-// multi-length dot-product extensions, the streaming column scan, and the
-// diagonal pass of the incremental cross-length engine — consolidated from
-// the per-file copies that used to live in internal/core, internal/stomp
-// and the hot-row path.
+// multi-length dot-product extensions, the streaming column scan, the
+// diagonal pass of the incremental cross-length engine, and the threshold
+// scan of the partial-profile reseed — consolidated from the per-file
+// copies that used to live in internal/core, internal/stomp and the
+// hot-row path.
 //
 // Every routine here is paired with a naive reference implementation in
 // ref.go that spells out the defining loop, and TestKernelParity asserts
@@ -13,6 +14,16 @@
 // calls the same kernels, arithmetic identity across plans is enforced by
 // construction: there is exactly one expression for each recurrence and
 // one for the division-free correlation compare of each path.
+//
+// # Where the pruned plan spends them
+//
+// The pruned plan's recompute batches walk chains of needed anchors: one
+// FFT head row per chain (two heads per packed transform), then RowNext
+// for every following row — bridged rows between needed anchors included —
+// with ArgmaxCorr and the reseed's ReseedScan at each needed anchor. A
+// chain bridges gaps up to the breakeven of a RowNext row against half a
+// packed transform, so nearly every recomputed row costs O(s) on these
+// kernels instead of an O(n log n) transform.
 //
 // # Dispatch tiers
 //
@@ -39,7 +50,9 @@
 // any tier may reorder candidate visits, but every reordering reduces to
 // the same argmax. AdvanceDot is the one kernel with a single serial
 // floating-point accumulation chain and no slack to reorder, so every
-// tier shares the one scalar loop.
+// tier shares the one scalar loop. ReseedScan holds because its stop cell
+// is the first hit in ascending order and its running maximum is exact in
+// any visiting order; its ilp tier shares the generic loop.
 //
 // # Optimization rules the kernels follow
 //
@@ -138,6 +151,27 @@ func AdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 		qt += av * b[x]
 	}
 	return qt
+}
+
+// ReseedScan is the threshold scan of the partial-profile reseed: over
+// cells j ∈ [j0, len(row)) in ascending order it computes
+//
+//	q̃ = (row[j] − means[j]·sumA) · invs[j]
+//
+// (in exactly that order, never fused) and stops at the first cell whose
+// q̃² > heapMin, returning its index together with the running maximum of
+// q̃² over the cells before it, seeded by bestRej. With no such cell it
+// returns len(row) and the maximum over the whole range. The caller runs
+// the top-p heap update at the returned cell and re-enters one cell later.
+// A degenerate candidate (invs[j] = 0) has q̃ = 0. Every tier returns the
+// same (index, maximum) bit for bit: the stop cell is the first in
+// ascending order, and a maximum is exact in any visiting order. means
+// and invs must cover [j0, len(row)).
+func ReseedScan(row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) (int, float64) {
+	if active == AVX2 {
+		return reseedScanAVX2(row, means, invs, j0, sumA, heapMin, bestRej)
+	}
+	return reseedScanGeneric(row, means, invs, j0, sumA, heapMin, bestRej)
 }
 
 // ColScan is the streaming right-append pass: window j of length l has

@@ -294,3 +294,47 @@ d32done:
 	MOVQ AX, ret+112(FP)
 	VZEROUPPER
 	RET
+
+// func reseedScanBlocks(r, m, v *float64, sumA, heapMin, bestRej float64, n int) (int, float64)
+// Groups of four: q = (r - m*sumA) * v, q2 = q*q. Stops at the first
+// group with any lane q2 > heapMin (GT_OQ) and returns its start; every
+// earlier group's q2 folds into the running lane maxima, seeded with
+// bestRej. n is a multiple of 4. No NaNs reach the kernels, so VMAXPD is
+// a pure maximum.
+TEXT ·reseedScanBlocks(SB), NOSPLIT, $0-72
+	MOVQ r+0(FP), R8
+	MOVQ m+8(FP), R9
+	MOVQ v+16(FP), R10
+	VBROADCASTSD sumA+24(FP), Y1
+	VBROADCASTSD heapMin+32(FP), Y2
+	VBROADCASTSD bestRej+40(FP), Y0 // running lane maxima
+	MOVQ n+48(FP), DX
+	XORQ AX, AX
+
+rsloop:
+	CMPQ AX, DX
+	JGE  rsdone
+	VMOVUPD (R9)(AX*8), Y4
+	VMULPD  Y1, Y4, Y4      // m*sumA
+	VMOVUPD (R8)(AX*8), Y3
+	VSUBPD  Y4, Y3, Y3      // r - m*sumA
+	VMOVUPD (R10)(AX*8), Y5
+	VMULPD  Y5, Y3, Y3      // * v → q
+	VMULPD  Y3, Y3, Y3      // q*q
+	VCMPPD  $0x1e, Y2, Y3, Y6 // q2 > heapMin (GT_OQ)
+	VMOVMSKPD Y6, CX
+	TESTL CX, CX
+	JNE  rsdone
+	VMAXPD  Y3, Y0, Y0
+	ADDQ $4, AX
+	JMP  rsloop
+
+rsdone:
+	VEXTRACTF128 $1, Y0, X5
+	VMAXPD   X5, X0, X0
+	VPERMILPD $1, X0, X5
+	VMAXSD   X5, X0, X0
+	VZEROUPPER
+	MOVQ AX, ret+56(FP)
+	MOVSD X0, ret1+64(FP)
+	RET

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/seriesmining/valmod/internal/series"
@@ -265,6 +266,93 @@ func testKernelParityColScan(t *testing.T) {
 					t.Fatalf("n=%d l=%d: ColScan idx[%d]=%d != %d", n, l, i, gi[i], wi[i])
 				}
 			}
+		}
+	}
+}
+
+func TestKernelParityReseedScan(t *testing.T) { forEachVariant(t, testKernelParityReseedScan) }
+
+// checkReseedScan asserts ReseedScan matches RefReseedScan bit for bit,
+// and that re-entering one cell past every stop walks the same sequence of
+// stops the reference walks.
+func checkReseedScan(t *testing.T, row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) {
+	t.Helper()
+	for j := j0; ; {
+		gj, gb := ReseedScan(row, means, invs, j, sumA, heapMin, bestRej)
+		wj, wb := RefReseedScan(row, means, invs, j, sumA, heapMin, bestRej)
+		if gj != wj || math.Float64bits(gb) != math.Float64bits(wb) {
+			t.Fatalf("len=%d j0=%d heapMin=%v bestRej=%v: ReseedScan (%d,%v) != reference (%d,%v)",
+				len(row), j, heapMin, bestRej, gj, gb, wj, wb)
+		}
+		if gj >= len(row) {
+			return
+		}
+		j, bestRej = gj+1, gb
+	}
+}
+
+func testKernelParityReseedScan(t *testing.T) {
+	const n, l = 700, 23
+	ts := testSeries(n, 7)
+	s := n - l + 1
+	means, invs := moments(ts, l)
+	deg := 0
+	for _, v := range invs {
+		if v == 0 {
+			deg++
+		}
+	}
+	if deg == 0 {
+		t.Fatal("test series has no degenerate windows")
+	}
+	for _, i := range []int{0, s / 3, s / 2, s - 1} {
+		row := make([]float64, s)
+		for j := range row {
+			row[j] = series.Dot(ts[i:i+l], ts[j:j+l])
+		}
+		sumA := 0.0
+		for _, v := range ts[i : i+l] {
+			sumA += v
+		}
+		q2 := make([]float64, s)
+		for j := range q2 {
+			q := (row[j] - means[j]*sumA) * invs[j]
+			q2[j] = q * q
+		}
+		// Thresholds from never-hit to always-hit: the quartiles of the
+		// row's own q̃² make stops land in every lane position.
+		sorted := append([]float64(nil), q2...)
+		sort.Float64s(sorted)
+		ths := []float64{math.Inf(1), math.Inf(-1), 0, sorted[s/4], sorted[s/2], sorted[s-5], sorted[s-1]}
+		for _, th := range ths {
+			// Lengths not a multiple of 4, and start cells in every lane.
+			for _, cut := range []int{s, s - 1, s - 2, s - 3, 5, 3, 1} {
+				for _, j0 := range []int{0, 1, 2, 3, 4, cut - 1, cut} {
+					if j0 < 0 || j0 > cut {
+						continue
+					}
+					checkReseedScan(t, row[:cut], means, invs, j0, sumA, th, -1)
+					checkReseedScan(t, row[:cut], means, invs, j0, sumA, th, sorted[s/2])
+				}
+			}
+		}
+		// A hit in the first cell and in the last lane of a group: place
+		// the threshold just under q̃² at the chosen cell after zeroing the
+		// cells before it out of contention.
+		for _, hit := range []int{0, 3, 7, 11} {
+			th := math.Nextafter(q2[hit], math.Inf(-1))
+			lim := append([]float64(nil), row[:hit+1]...)
+			for j := 0; j < hit; j++ {
+				lim[j] = means[j] * sumA // q̃ = 0 before the hit
+			}
+			if q2[hit] <= 0 {
+				continue
+			}
+			gj, _ := ReseedScan(lim, means, invs, 0, sumA, th, -1)
+			if gj != hit {
+				t.Fatalf("i=%d: hit at %d, ReseedScan stopped at %d", i, hit, gj)
+			}
+			checkReseedScan(t, lim, means, invs, 0, sumA, th, -1)
 		}
 	}
 }

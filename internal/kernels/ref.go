@@ -95,3 +95,19 @@ func RefDiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float6
 		}
 	}
 }
+
+// RefReseedScan is ReseedScan as the plain ascending loop: the first cell
+// whose q̃² beats heapMin stops the scan, every earlier cell folds into
+// the running maximum.
+func RefReseedScan(row, means, invs []float64, j0 int, sumA, heapMin, bestRej float64) (int, float64) {
+	for j := j0; j < len(row); j++ {
+		q := (row[j] - means[j]*sumA) * invs[j]
+		if q*q > heapMin {
+			return j, bestRej
+		}
+		if q*q > bestRej {
+			bestRej = q * q
+		}
+	}
+	return len(row), bestRej
+}

@@ -116,6 +116,8 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(6), uint16(1000), uint8(40), uint8(200), uint8(0), uint8(5))
 	f.Add(int64(7), uint16(96), uint8(5), uint8(11), uint8(33), uint8(6))
 	f.Add(int64(8), uint16(770), uint8(50), uint8(77), uint8(128), uint8(7))
+	f.Add(int64(9), uint16(403), uint8(20), uint8(9), uint8(3), uint8(8))
+	f.Add(int64(10), uint16(97), uint8(6), uint8(130), uint8(1), uint8(8))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -132,7 +134,7 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		anchor := int(seed&0x7fffffff) % s
 
-		switch kernel % 8 {
+		switch kernel % 9 {
 		case 0: // RowNext
 			row0 := make([]float64, s)
 			for j := range row0 {
@@ -317,6 +319,42 @@ func FuzzKernelParity(f *testing.F) {
 					t.Fatalf("%v: ExtendRow32(n=%d i=%d cur=%d l=%d) diverges from reference", v, n, i, cur, newL)
 				}
 			})
+		case 8: // ReseedScan from a fuzz-chosen start, threshold and seed
+			i := anchor
+			row := make([]float64, s)
+			for j := range row {
+				row[j] = series.Dot(ts[i:i+l], ts[j:j+l])
+			}
+			sumA := 0.0
+			for _, v := range ts[i : i+l] {
+				sumA += v
+			}
+			cut := s - int(segB)%4 // lengths off the vector width
+			if cut < 1 {
+				cut = 1
+			}
+			j0 := int(segA) % cut
+			// Thresholds: a row cell's own q̃² (stop exactly there), +Inf
+			// (no stop) and 0 (stop at the first non-degenerate cell).
+			k := (j0 + int(lRaw)) % cut
+			q := (row[k] - means[k]*sumA) * invs[k]
+			for _, th := range []float64{q * q, math.Nextafter(q*q, math.Inf(-1)), math.Inf(1), 0} {
+				for _, seed := range []float64{-1, q * q / 2} {
+					allVariants(t, func(v Variant) {
+						for j, best := j0, seed; ; {
+							gj, gb := ReseedScan(row[:cut], means, invs, j, sumA, th, best)
+							wj, wb := RefReseedScan(row[:cut], means, invs, j, sumA, th, best)
+							if gj != wj || math.Float64bits(gb) != math.Float64bits(wb) {
+								t.Fatalf("%v: ReseedScan(n=%d l=%d i=%d j0=%d th=%v) = (%d,%v), reference (%d,%v)", v, n, l, i, j, th, gj, gb, wj, wb)
+							}
+							if gj >= cut {
+								break
+							}
+							j, best = gj+1, gb
+						}
+					})
+				}
+			}
 		default: // DiagScan32
 			if excl >= s {
 				return

@@ -45,9 +45,11 @@ type Options struct {
 	ExclusionFactor int
 	// RecomputeFraction is the fraction of anchors beyond which a length
 	// is recomputed wholesale rather than anchor-by-anchor (default 0.05:
-	// one MASS recompute costs Θ(n log n) against a full pass's Θ(s²), but
-	// the full pass also reseeds every partial profile, so the breakeven
-	// sits near s/log n ≈ 5% of anchors; see internal/core).
+	// an anchor costs between its O(s) row scan plus a few bridged STOMP
+	// rows and half a Θ(n log n) FFT round trip when it heads a recompute
+	// chain, against s rows for a full pass that also reseeds every
+	// partial profile, so the breakeven sits at a few percent of anchors;
+	// see internal/core).
 	RecomputeFraction float64
 	// DisablePruning turns the lower-bound machinery off (ablation only:
 	// identical output, one whole-profile pass per length).
