@@ -53,12 +53,16 @@ const (
 	// RowNext step plus the scan and reseed (≈6 µs + 35–50 µs at n=20k on
 	// a 2-vCPU AVX2 Xeon), and reseeds every partial profile with tight
 	// bounds at the current length. Anchor by anchor, a recompute chain
-	// head costs half a DotsPair, Θ(n log n) (≈1.4 ms), plus its scan; an
-	// anchor inside a bridged chain costs its scan plus at most
-	// bridgeMaxGap RowNext rows. With every recomputed anchor a chain head
-	// the breakeven is 3–4% of anchors, and bridged chains push it higher,
-	// so 5% sits between the two regimes; the full pass's tighter reseed,
-	// which helps the lengths after it, is not in this per-length count.
+	// head costs half a DotsPair on the overlap-save correlator (≈0.25 ms
+	// at LMax=83) plus its scan; an anchor inside a bridged chain costs its
+	// scan plus at most bridgeMaxGap RowNext rows. With every recomputed
+	// anchor a chain head the per-length breakeven is now 14–19% of
+	// anchors, and bridged chains push it higher, so 5% falls back earlier
+	// than the per-length count alone asks for; the full pass's tighter
+	// reseed, which helps the lengths after it, is not in that count. No
+	// length of the pruned benchmark reaches the threshold (its peak is
+	// 360 recomputes out of about 19.9k anchors, 1.8%), so the value is
+	// kept rather than re-tuned against a case no workload exercises.
 	DefaultRecomputeFraction = 0.05
 )
 

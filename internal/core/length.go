@@ -138,13 +138,17 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 // bridgeMaxGap is the widest gap, in rows, a recompute chain bridges with
 // the STOMP recurrence rather than closing and starting a new chain. A
 // bridged gap of g rows costs g kernels.RowNext rows over s cells; a new
-// chain head costs half a DotsPair at the padded FFT size. Both grow about
-// linearly with n, so the breakeven hardly depends on it: on a 2-vCPU
-// AVX2 Xeon at n=20k (32k-point FFT) one RowNext row costs ≈5.9 µs and
-// half a DotsPair ≈1.4 ms, a breakeven near 240 rows. Padding to a power
-// of two moves the transform's share by up to 2× between sizes, so the
-// constant sits at half the measured breakeven, where bridging wins at
-// every padding.
+// chain head costs half a DotsPair on the overlap-save correlator, about
+// (n/h)·B·log B for its block size B = NextPowerOfTwo(4·LMax) and hop
+// h = B−LMax+1. Both grow linearly with n, so their ratio depends on LMax
+// (through log B), not on n: on a 2-vCPU AVX2 Xeon at n=20k, LMax=83
+// (B=512) one RowNext row costs ≈5.9 µs and half a DotsPair ≈0.25 ms, a
+// breakeven near 40 rows. A sweep of {16, 32, 64, 128} over the pruned
+// benchmark pass (ecg and astro, n=20k, ℓ 64–83) put every setting within
+// run-to-run noise of the others — gaps between 40 and 128 rows are too
+// rare for the extra bridged rows to show — so the constant keeps the
+// wider reach, which suits larger LMax, where log B and with it the
+// breakeven grow.
 const bridgeMaxGap = 128
 
 // hotRunMin is the contiguous-run length from which recomputed anchors

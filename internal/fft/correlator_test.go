@@ -72,6 +72,17 @@ func TestCorrelatorInvalidInputs(t *testing.T) {
 	if c.Dots(make([]float64, 30), nil) != nil {
 		t.Error("oversized query should return nil")
 	}
+	// Longer than maxQueryLen but shorter than the series: overlap-save
+	// blocks only hold queries up to maxQueryLen, so this is invalid too.
+	if c.Dots(make([]float64, 13), nil) != nil {
+		t.Error("query longer than maxQueryLen should return nil")
+	}
+	if d1, d2 := c.DotsPair(make([]float64, 13), make([]float64, 13), nil, nil); d1 != nil || d2 != nil {
+		t.Error("pair longer than maxQueryLen should return nils")
+	}
+	if c.Dots(make([]float64, 8), nil) == nil {
+		t.Error("query of exactly maxQueryLen should be accepted")
+	}
 	if d1, d2 := c.DotsPair(make([]float64, 3), make([]float64, 4), nil, nil); d1 != nil || d2 != nil {
 		t.Error("length mismatch should return nils")
 	}
@@ -120,7 +131,7 @@ func TestCorrelatorReleaseRecycles(t *testing.T) {
 }
 
 // TestCloneSharesSpectrum: clones must agree with the original exactly
-// (same spectrum, so bit-identical outputs).
+// (same block spectra, so bit-identical outputs), for Dots and DotsPair.
 func TestCloneSharesSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tt := make([]float64, 257)
@@ -131,12 +142,42 @@ func TestCloneSharesSpectrum(t *testing.T) {
 	defer c.Release()
 	clone := c.Clone()
 	defer clone.Release()
-	q := tt[5:21]
-	a := c.Dots(q, nil)
-	b := clone.Dots(q, nil)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("j=%d: clone %g vs original %g", j, b[j], a[j])
+	for _, m := range []int{1, 9, 16} {
+		q1, q2 := tt[5:5+m], tt[200:200+m]
+		a, b := c.Dots(q1, nil), clone.Dots(q1, nil)
+		a1, a2 := c.DotsPair(q1, q2, nil, nil)
+		b1, b2 := clone.DotsPair(q1, q2, nil, nil)
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) ||
+				math.Float64bits(a1[j]) != math.Float64bits(b1[j]) ||
+				math.Float64bits(a2[j]) != math.Float64bits(b2[j]) {
+				t.Fatalf("m=%d j=%d: clone differs from the original", m, j)
+			}
 		}
+	}
+}
+
+// BenchmarkCorrelatorDotsPair times one paired recompute head at the
+// engine's benchmark geometry: n=20k, maxQueryLen=83, queries of 83 points.
+func BenchmarkCorrelatorDotsPair(b *testing.B) {
+	t := randomWalk(rand.New(rand.NewSource(12)), 20000)
+	c := NewCorrelator(t, 83)
+	defer c.Release()
+	d1, d2 := make([]float64, len(t)), make([]float64, len(t))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d1, d2 = c.DotsPair(t[5000:5083], t[12000:12083], d1, d2)
+	}
+}
+
+// BenchmarkCorrelatorDots times one lone head at the same geometry.
+func BenchmarkCorrelatorDots(b *testing.B) {
+	t := randomWalk(rand.New(rand.NewSource(12)), 20000)
+	c := NewCorrelator(t, 83)
+	defer c.Release()
+	d := make([]float64, len(t))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d = c.Dots(t[5000:5083], d)
 	}
 }

@@ -2,10 +2,11 @@
 //
 // The package exists because the VALMOD reproduction is stdlib-only and the
 // MASS distance-profile algorithm (internal/mass) needs O(n log n) sliding
-// dot products. Transforms of power-of-two length use an iterative
-// decimation-in-time radix-2 kernel; every other length is handled by
-// Bluestein's chirp-z algorithm, which reduces an arbitrary-length DFT to a
-// power-of-two convolution.
+// dot products. Every transform has power-of-two length and runs an
+// iterative decimation-in-time radix-2 kernel: Convolve pads to the next
+// power of two, and Correlator correlates short queries against fixed
+// power-of-two blocks of a long series (overlap-save), so each recomputed
+// row costs Θ(n log B) for a block size B of a few times the query length.
 //
 // All transforms are unnormalized in the forward direction; Inverse divides
 // by the length so that Inverse(Forward(x)) == x.
@@ -15,7 +16,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
+	"sync/atomic"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -39,34 +40,24 @@ func NextPowerOfTwo(n int) int {
 	return 1 << shift
 }
 
-// Forward computes the in-place forward DFT of x and returns x.
-// len(x) may be any positive value; zero-length input is returned unchanged.
+// Forward computes the in-place forward DFT of x and returns x. len(x)
+// must be a power of two; Forward panics otherwise.
 func Forward(x []complex128) []complex128 {
-	n := len(x)
-	switch {
-	case n <= 1:
-		return x
-	case IsPowerOfTwo(n):
-		radix2(x, false)
-		return x
-	default:
-		bluestein(x, false)
-		return x
+	if !IsPowerOfTwo(len(x)) {
+		panic("fft: Forward requires a power-of-two length")
 	}
+	radix2(x, false)
+	return x
 }
 
 // Inverse computes the in-place inverse DFT of x (normalized by 1/len(x))
-// and returns x.
+// and returns x. len(x) must be a power of two; Inverse panics otherwise.
 func Inverse(x []complex128) []complex128 {
 	n := len(x)
-	switch {
-	case n <= 1:
-		return x
-	case IsPowerOfTwo(n):
-		radix2(x, true)
-	default:
-		bluestein(x, true)
+	if !IsPowerOfTwo(n) {
+		panic("fft: Inverse requires a power-of-two length")
 	}
+	radix2(x, true)
 	inv := complex(1/float64(n), 0)
 	for i := range x {
 		x[i] *= inv
@@ -74,70 +65,84 @@ func Inverse(x []complex128) []complex128 {
 	return x
 }
 
-// twiddleCache holds one forward twiddle table per transform size. The
-// tables are immutable once built and shared by every transform of that
-// size, so repeated correlator queries pay sin/cos exactly once.
-var twiddleCache sync.Map // int -> []complex128 (n/2 forward twiddles)
+// plan is the immutable per-size state of a power-of-two transform: the
+// forward twiddles of every butterfly stage (the inverse conjugates them),
+// and the bit-reversal permutation as a flat list of swap pairs (i, j),
+// i < j.
+// Stage size s (s ≥ 4) reads its s/2 twiddles w_k = e^(−2πik/s)
+// contiguously at offset s/2−2. Each twiddle is evaluated directly at the
+// full size n, e^(−2πi·k(n/s)/n), which is also more accurate than a
+// running product w·=wStep in the butterfly loop.
+type plan struct {
+	tw    []complex128
+	swaps []int32
+}
 
-// twiddleTable returns the forward twiddles w_k = e^(−2πik/n), k < n/2.
-// Direct evaluation per entry is also more accurate than the running
-// product the butterfly loop previously accumulated.
-func twiddleTable(n int) []complex128 {
-	if v, ok := twiddleCache.Load(n); ok {
-		return v.([]complex128)
+// plans caches one plan per power-of-two size, indexed by log2 of the
+// size, so repeated correlator queries pay sin/cos and the permutation
+// exactly once and look a plan up without hashing or allocating.
+var plans [bits.UintSize]atomic.Pointer[plan]
+
+func planFor(n int) *plan {
+	slot := &plans[bits.Len(uint(n))-1]
+	if p := slot.Load(); p != nil {
+		return p
 	}
-	tw := make([]complex128, n/2)
-	for k := range tw {
-		tw[k] = cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
+	p := &plan{}
+	for size := 4; size <= n; size <<= 1 {
+		for k := 0; k < size/2; k++ {
+			w := cmplx.Rect(1, -2*math.Pi*float64(k*(n/size))/float64(n))
+			p.tw = append(p.tw, w)
+		}
 	}
-	v, _ := twiddleCache.LoadOrStore(n, tw)
-	return v.([]complex128)
+	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> shift); j > i {
+			p.swaps = append(p.swaps, int32(i), int32(j))
+		}
+	}
+	slot.CompareAndSwap(nil, p)
+	return slot.Load()
 }
 
 // radix2 runs the iterative Cooley–Tukey decimation-in-time FFT.
 // len(x) must be a power of two. When inverse is true the conjugate
 // twiddles are used (normalization is the caller's responsibility).
-// Twiddles come from the cached table (stage size s uses every (n/s)-th
-// entry), which removes the serial w·=wStep recurrence from the butterfly
-// loop — the former chain both bounded ILP and drifted in precision.
+// The first stage's twiddle is 1, so it runs without multiplications.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
-	bitReverse(x)
-	tw := twiddleTable(n)
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			blk := x[start : start+size]
-			if inverse {
-				for k := 0; k < half; k++ {
-					w := tw[k*stride]
-					w = complex(real(w), -imag(w))
-					even := blk[k]
-					odd := blk[k+half] * w
-					blk[k] = even + odd
-					blk[k+half] = even - odd
-				}
-			} else {
-				for k := 0; k < half; k++ {
-					even := blk[k]
-					odd := blk[k+half] * tw[k*stride]
-					blk[k] = even + odd
-					blk[k+half] = even - odd
-				}
-			}
-		}
+	p := planFor(n)
+	sw := p.swaps
+	for k := 0; k+1 < len(sw); k += 2 {
+		i, j := sw[k], sw[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
-}
-
-// bitReverse permutes x into bit-reversed order. len(x) must be a power of two.
-func bitReverse(x []complex128) {
-	n := len(x)
-	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	for k := 0; k+1 < n; k += 2 {
+		even, odd := x[k], x[k+1]
+		x[k], x[k+1] = even+odd, even-odd
+	}
+	for size := 4; size <= n; size <<= 1 {
+		half := size >> 1
+		w := p.tw[half-2 : size-2]
+		for start := 0; start < n; start += size {
+			lo := x[start : start+half]
+			hi := x[start+half : start+size]
+			hi, w := hi[:len(lo)], w[:len(lo)]
+			if inverse {
+				for k := range lo {
+					even := lo[k]
+					odd := hi[k] * complex(real(w[k]), -imag(w[k]))
+					lo[k] = even + odd
+					hi[k] = even - odd
+				}
+				continue
+			}
+			for k := range lo {
+				even := lo[k]
+				odd := hi[k] * w[k]
+				lo[k] = even + odd
+				hi[k] = even - odd
+			}
 		}
 	}
 }

@@ -18,12 +18,13 @@
 // # Where the pruned plan spends them
 //
 // The pruned plan's recompute batches walk chains of needed anchors: one
-// FFT head row per chain (two heads per packed transform), then RowNext
-// for every following row — bridged rows between needed anchors included —
-// with ArgmaxCorr and the reseed's ReseedScan at each needed anchor. A
-// chain bridges gaps up to the breakeven of a RowNext row against half a
-// packed transform, so nearly every recomputed row costs O(s) on these
-// kernels instead of an O(n log n) transform.
+// FFT head row per chain (two heads per packed overlap-save correlation),
+// then RowNext for every following row — bridged rows between needed
+// anchors included — with ArgmaxCorr and the reseed's ReseedScan at each
+// needed anchor. A head costs Θ(n log B) for a block size B of a few
+// times ℓmax, about 40 RowNext rows at ℓmax=83; chains bridge gaps of up
+// to 128 rows (a sweep of the gap limit was flat within noise), so nearly
+// every recomputed row costs O(s) on these kernels.
 //
 // # Dispatch tiers
 //
